@@ -1026,7 +1026,8 @@ void RunServe(const Args& args, Tracer& tracer, Record& record, bool churn) {
   } else {
     // Results are pure functions of the request: re-solve the first
     // request of every class solo on a cold engine and require
-    // bit-identical answers.
+    // bit-identical answers. Solving them in reverse order gives the cold
+    // engine's cache a different extension history from the warm one's.
     Serving cold;
     cold.catalog = std::make_unique<GraphCatalog>();
     bool registered = true;
@@ -1037,7 +1038,7 @@ void RunServe(const Args& args, Tracer& tracer, Record& record, bool churn) {
     cold.engine = std::make_unique<SeedMinEngine>(*cold.catalog, EngineOptions());
     size_t mismatches = 0;
     const size_t solo = std::min(kMixClasses, record.sent);
-    for (size_t i = 0; registered && i < solo; ++i) {
+    for (size_t i = solo; registered && i-- > 0;) {
       if (record.fingerprints[i] == 0) continue;
       auto solved = cold.engine->Solve(record.requests[i]);
       if (!solved.ok() || ResultFingerprint(*solved) != record.fingerprints[i]) ++mismatches;
