@@ -12,9 +12,6 @@
 //                    (epinions, youtube) registered from ASMS files, a mix
 //                    of {ASTI, ASTI-4, ATEUC, Bisection} x {IC, LT} x
 //                    eta in {1%, 2%, 5%} less one class, warm sampler cache.
-//   serve-mix-churn  serve-mix-warm plus a mutator minting a new epinions
-//                    epoch at a fixed interval (MakeRandomDelta +
-//                    SwapWithDelta).
 //
 // With --trace 1 the harness records spans around its calls into each
 // layer (kept in memory, written to --spans at the end) and runs the
@@ -25,7 +22,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -86,13 +82,11 @@ constexpr uint64_t kGraphSeed = 7;
 constexpr int kSetupRepeats = 3;
 // solve-lj-ic's set-up is short (~0.4 s), so it repeats more.
 constexpr int kLjSetupRepeats = 7;
-// Open-loop offered rate of the serve-* workloads (requests/s): the two
+// Open-loop offered rate of serve-mix-warm (requests/s): the two
 // drivers are ~27% busy on the warm mix (mean service ~30 ms). At 36/s
 // (~55% busy) queueing amplified the machine's speed swings and moved
 // latency_p50_s by 26% between runs.
 constexpr double kServeRate = 18.0;
-// serve-mix-churn mints a new epinions epoch every this many seconds.
-constexpr double kChurnInterval = 5.0;
 
 double Since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
@@ -398,7 +392,7 @@ SolveRequest LjRequest(size_t list_index, NodeId n) {
   return request;
 }
 
-// The serve-* mix: 2 tenants x 4 algorithms x 2 models x 3 eta shares =
+// The serve mix: 2 tenants x 4 algorithms x 2 models x 3 eta shares =
 // 48 request classes less one, cycled in order so every run carries each
 // class in the same proportion. The class left out, youtube ATEUC at IC
 // and eta 5%, takes ~2.5 s warm and was ~70% of the full mix's service
@@ -658,11 +652,9 @@ void RunClosedLoop(const Args& args, Tracer& tracer, SeedMinEngine& engine, Node
 // Open loop: requests are sent on a seeded Poisson schedule whatever the
 // state of earlier ones. A request's completion is its send time plus the
 // engine's admission-to-result time (RequestProfile::total_seconds), so no
-// polling thread competes with the pool for the run's CPUs. `during` runs
-// on its own thread for the window (the churn mutator).
-template <class During>
+// polling thread competes with the pool for the run's CPUs.
 void RunOpenLoop(const Args& args, Tracer& tracer, SeedMinEngine& engine,
-                 const NodeId tenant_nodes[2], Record& record, During&& during) {
+                 const NodeId tenant_nodes[2], Record& record) {
   const std::vector<double> due =
       ledger::PoissonSchedule(Mix(args.seed, 0xa77), kServeRate, args.seconds);
   const size_t count = due.size();
@@ -676,8 +668,6 @@ void RunOpenLoop(const Args& args, Tracer& tracer, SeedMinEngine& engine,
 
   WallClock clock{SteadyClock::now()};
   const double cpu_start = CpuSeconds();
-  std::atomic<bool> window_open{true};
-  std::thread side([&] { during(clock, window_open); });
   const std::vector<double> sent = ledger::SendOnSchedule(due, clock, [&](size_t i) {
     auto span = tracer.Open("api", "SubmitAsync", i + 1);
     futures[i] = engine.SubmitAsync(record.requests[i]);
@@ -686,8 +676,6 @@ void RunOpenLoop(const Args& args, Tracer& tracer, SeedMinEngine& engine,
   results.reserve(count);
   for (auto& future : futures) results.push_back(future.get());
   record.timed_wall_s = clock.Now();
-  window_open.store(false);
-  side.join();
   record.cpu_utilisation =
       (CpuSeconds() - cpu_start) / (record.timed_wall_s * static_cast<double>(kPoolThreads));
   for (size_t i = 0; i < count; ++i) {
@@ -705,7 +693,7 @@ void RunOpenLoop(const Args& args, Tracer& tracer, SeedMinEngine& engine,
 // The epochs minted on one catalog name, in order.
 struct DeltaLog {
   std::vector<asti::EdgeDelta> deltas;
-  std::vector<double> apply_s;  // SwapWithDelta: minting, off the serving path
+  std::vector<double> apply_s;  // SwapWithDelta: minting the new snapshot
   std::vector<double> swap_s;   // SwapWithDelta: the catalog swap blackout
 };
 
@@ -773,8 +761,7 @@ double TimeSpan(Tracer& tracer, const char* layer, const char* name, F&& f) {
 }
 
 void ProbeLayers(const Args& args, Tracer& tracer, const asti::GraphRef& ref,
-                 const ProbeSpec& spec, bool probe_delta, bool probe_store,
-                 Record& record) {
+                 const ProbeSpec& spec, bool probe_store, Record& record) {
   const asti::DirectedGraph& graph = ref.graph();
   const NodeId n = graph.NumNodes();
   const DiffusionModel model = DiffusionModel::kIndependentCascade;
@@ -866,7 +853,7 @@ void ProbeLayers(const Args& args, Tracer& tracer, const asti::GraphRef& ref,
 
   // Delta: mint a short chain of epochs of the probe graph in a scratch
   // catalog and check it against the rebuild replay.
-  if (probe_delta) {
+  {
     constexpr int kProbeEpochs = 3;
     asti::Rng rng(Mix(args.seed, 0xde17a));
     GraphCatalog scratch;
@@ -959,7 +946,6 @@ void RunSolveLj(const Args& args, Tracer& tracer, Record& record) {
   }
   Check(record, "solve.repeat_identity", repeat_mismatches == 0,
         std::to_string(repeat_mismatches) + " repeated requests answered differently");
-  record.layers["delta.epochs"] = 0.0;
   if (tracer.enabled()) {
     ReadCacheGauges(*serving.engine, record);
     auto ref = serving.catalog->Get("livejournal");
@@ -969,13 +955,13 @@ void RunSolveLj(const Args& args, Tracer& tracer, Record& record) {
     spec.mrr_sets = 8000;
     spec.cache_sets = 8000;
     spec.coverage_rounds = 4;
-    ProbeLayers(args, tracer, *ref, spec, /*probe_delta=*/true, /*probe_store=*/true, record);
+    ProbeLayers(args, tracer, *ref, spec, /*probe_store=*/true, record);
     record.layers["obs.trace_overhead_share"] =
         TraceOverheadShare(spans_in_window, record.timed_wall_s);
   }
 }
 
-void RunServe(const Args& args, Tracer& tracer, Record& record, bool churn) {
+void RunServe(const Args& args, Tracer& tracer, Record& record) {
   if (!PrepareTenantFiles(args, tracer, record)) return;
   if (tracer.enabled()) {
     record.layers["graph.build_s"] = tracer.Total("graph", "MakeSurrogateDataset");
@@ -997,37 +983,19 @@ void RunServe(const Args& args, Tracer& tracer, Record& record, bool churn) {
     }
   }
 
-  // The churn mutator and the delta chain it minted.
-  DeltaLog churn_log;
-  const asti::GraphRef initial = *serving.catalog->Get("epinions");
-  asti::Status churn_status;
-  auto mutator = [&](const WallClock& clock, const std::atomic<bool>& window_open) {
-    if (!churn) return;
-    asti::Rng rng(Mix(args.seed, 0xc4u));
-    for (int k = 1; kChurnInterval * k < args.seconds && churn_status.ok(); ++k) {
-      clock.SleepUntil(kChurnInterval * k);
-      if (!window_open.load()) break;
-      churn_status = MintEpoch(*serving.catalog, "epinions", rng, tracer, churn_log);
-    }
-  };
   const size_t spans_before = tracer.size();
-  RunOpenLoop(args, tracer, *serving.engine, tenant_nodes, record, mutator);
+  RunOpenLoop(args, tracer, *serving.engine, tenant_nodes, record);
   const size_t spans_in_window = tracer.size() - spans_before;
   record.peak_rss_mb = PeakRssMb();
   if (tracer.enabled()) ReadCacheGauges(*serving.engine, record);
   FinishAccounting(record);
 
-  if (churn) {
-    Check(record, "churn.mutator", churn_status.ok(), churn_status.ToString());
-    Check(record, "churn.digest_replay",
-          !churn_log.deltas.empty() &&
-              ReplayMatches(initial.graph(), churn_log, *serving.catalog->Get("epinions")),
-          "final epinions digest differs from the ApplyDeltaByRebuild replay");
-  } else {
+  {
     // Results are pure functions of the request: re-solve the first
     // request of every class solo on a cold engine and require
     // bit-identical answers. Solving them in reverse order gives the cold
     // engine's cache a different extension history from the warm one's.
+    // The cold engine is gone before the probes run.
     Serving cold;
     cold.catalog = std::make_unique<GraphCatalog>();
     bool registered = true;
@@ -1049,26 +1017,19 @@ void RunServe(const Args& args, Tracer& tracer, Record& record, bool churn) {
   }
 
   if (tracer.enabled()) {
-    auto& layers = record.layers;
-    // The probe graph is the tenant each workload stresses: youtube's
-    // cache-served sampling for the warm mix, the churned epinions for churn.
-    auto ref = serving.catalog->Get(churn ? "epinions" : "youtube");
+    // The probe graph is youtube, whose cache-served sampling dominates
+    // the mix's service time.
+    auto ref = serving.catalog->Get("youtube");
     ProbeSpec spec;
     spec.eta = std::max<NodeId>(1, ref->num_nodes() / 100);
-    spec.rr_sets = churn ? 200000 : 100000;
-    spec.mrr_sets = churn ? 20000 : 8000;
+    spec.rr_sets = 100000;
+    spec.mrr_sets = 8000;
     spec.cache_sets = spec.mrr_sets;
     spec.coverage_rounds = 4;
-    ProbeLayers(args, tracer, *ref, spec, /*probe_delta=*/!churn, /*probe_store=*/false,
-                record);
-    if (churn) {
-      layers["delta.apply_s"] = Median(churn_log.apply_s);
-      layers["delta.swap_s"] = Median(churn_log.swap_s);
-    }
-    layers["obs.trace_overhead_share"] =
+    ProbeLayers(args, tracer, *ref, spec, /*probe_store=*/false, record);
+    record.layers["obs.trace_overhead_share"] =
         TraceOverheadShare(spans_in_window, record.timed_wall_s);
   }
-  record.layers["delta.epochs"] = static_cast<double>(churn_log.deltas.size());
 }
 
 // --- Main -------------------------------------------------------------------
@@ -1125,9 +1086,7 @@ int main(int argc, char** argv) {
   if (args.workload == "solve-lj-ic") {
     RunSolveLj(args, tracer, record);
   } else if (args.workload == "serve-mix-warm") {
-    RunServe(args, tracer, record, /*churn=*/false);
-  } else if (args.workload == "serve-mix-churn") {
-    RunServe(args, tracer, record, /*churn=*/true);
+    RunServe(args, tracer, record);
   } else {
     std::cerr << "unknown workload " << args.workload << "\n";
     return 2;

@@ -53,6 +53,19 @@ def relative_spread(values):
     return (q3 - q1) / abs(median) if median else math.inf
 
 
+def select_runs(records, workload, trace):
+    """The records of one workload with the given trace flag. Runs are
+    paired by seed, so a seed recorded twice is an error rather than a
+    silent overwrite."""
+    runs = [r for r in records if r["workload"] == workload and r["trace"] == trace]
+    seeds = [r["seed"] for r in runs]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError("%s: seed(s) %s recorded more than once with trace %d"
+                         % (workload, repeated, trace))
+    return runs
+
+
 IMPROVED = "improved"
 NO_WORSE = "no worse"
 UNRESOLVED = "unresolved"

@@ -5,7 +5,7 @@ its outputs and prints every metric by name with its unit.
 
   python3 ledger/run.py --workload NAME --seed N --seconds S --trace 0|1
                         [--record FILE]
-  python3 ledger/run.py compare BASE.jsonl CHANGE.jsonl
+  python3 ledger/run.py compare BASE.jsonl CHANGE.jsonl [--change-trace 1]
   python3 ledger/run.py selftest
 
 The last line of a run's standard output is one JSON object with the keys
@@ -13,7 +13,10 @@ correct, attempted, failed and metrics: the end-to-end metrics of
 BENCHMARK.json with --trace 0, its per-layer metrics with --trace 1. The
 line before it carries the run's metadata. --record appends the whole
 result (metadata, checks, results digest, end-to-end values even of a
-traced run) to FILE as one JSON line; compare reads such files.
+traced run) to FILE as one JSON line; compare reads such files. compare
+gates on untraced records only; --change-trace 1 instead compares the
+change file's traced records against the base's untraced ones, which
+shows the cost of tracing on each end-to-end metric.
 """
 
 import argparse
@@ -31,10 +34,10 @@ sys.path.insert(0, HERE)
 
 import ledger_stats  # noqa: E402
 
-WORKLOADS = ("solve-lj-ic", "serve-mix-warm", "serve-mix-churn")
+WORKLOADS = ("solve-lj-ic", "serve-mix-warm")
 # Latency limit of slo_attainment per workload (seconds). The fixed
 # BENCHMARK.json schema has no place for it, so it is fixed here.
-SLO_LIMIT_S = {"solve-lj-ic": 5.0, "serve-mix-warm": 0.5, "serve-mix-churn": 0.5}
+SLO_LIMIT_S = {"solve-lj-ic": 5.0, "serve-mix-warm": 0.5}
 HARNESS_TIMEOUT_S = 170
 
 
@@ -85,17 +88,12 @@ def run_harness(out_dir, workload, seed, seconds, trace):
     os.makedirs(scratch)
     raw_path = os.path.join(scratch, "raw.json")
     spans_path = os.path.join(out_dir, "spans-%s.jsonl" % workload)
-    # Two glibc malloc arenas instead of one per thread: with the default,
-    # freed memory stranded in per-thread arenas moved peak_rss_mb by +-15%
-    # between identical runs.
-    env = dict(os.environ, MALLOC_ARENA_MAX="2")
     try:
         subprocess.run(
             [os.path.join(out_dir, "ledger_harness"), "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
              "--out", raw_path, "--spans", spans_path, "--scratch", scratch],
-            check=True, stdout=sys.stderr, stderr=sys.stderr, timeout=HARNESS_TIMEOUT_S,
-            env=env)
+            check=True, stdout=sys.stderr, stderr=sys.stderr, timeout=HARNESS_TIMEOUT_S)
         with open(raw_path) as f:
             return json.load(f)
     finally:
@@ -208,9 +206,10 @@ def load_records(path):
         return [json.loads(line) for line in f if line.strip()]
 
 
-def compare(base_path, change_path):
+def compare(base_path, change_path, change_trace=0):
     """Applies the section-8 rule per workload x end-to-end metric; exits 1
-    when any row regressed."""
+    when any row regressed. Only untraced base records count; the change
+    file's records count when their trace flag equals change_trace."""
     bench = load_benchmark()
     base = load_records(base_path)
     change = load_records(change_path)
@@ -219,8 +218,8 @@ def compare(base_path, change_path):
     print(row_format % ("workload", "metric", "base median [q1, q3]",
                         "change median [q1, q3]", "won", "verdict"))
     for workload in [w["name"] for w in bench["workloads"]]:
-        b_runs = [r for r in base if r["workload"] == workload]
-        c_runs = [r for r in change if r["workload"] == workload]
+        b_runs = ledger_stats.select_runs(base, workload, trace=0)
+        c_runs = ledger_stats.select_runs(change, workload, trace=change_trace)
         if not b_runs or not c_runs:
             continue
         c_by_seed = {r["seed"]: r for r in c_runs}
@@ -266,8 +265,14 @@ def main(argv):
         parser = argparse.ArgumentParser(prog="run.py compare")
         parser.add_argument("base")
         parser.add_argument("change")
+        parser.add_argument("--change-trace", type=int, choices=(0, 1), default=0,
+                            help="1: compare the change's traced runs (cost of tracing)")
         args = parser.parse_args(argv[1:])
-        return compare(args.base, args.change)
+        try:
+            return compare(args.base, args.change, args.change_trace)
+        except ValueError as err:
+            log("compare: %s" % err)
+            return 2
     if argv and argv[0] == "selftest":
         return selftest()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])

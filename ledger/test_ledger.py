@@ -1,5 +1,6 @@
 """Tests of the ledger's statistics: exact percentiles from raw samples, the
-"at least 10 beyond" rule, and the compare rule on synthetic runs.
+"at least 10 beyond" rule, the compare rule on synthetic runs, and the
+choice of records compare reads.
 
 Run with: python3 ledger/run.py selftest (also builds and runs the C++
 load-generator test), or python3 -m unittest discover -s ledger.
@@ -110,6 +111,29 @@ class CompareTest(unittest.TestCase):
                          REGRESSED)
         self.assertEqual(ledger_stats.compare_failed_share(base, list(base))["verdict"],
                          NO_WORSE)
+
+
+class SelectRunsTest(unittest.TestCase):
+    @staticmethod
+    def record(workload, seed, trace):
+        return {"workload": workload, "seed": seed, "trace": trace}
+
+    def test_keeps_one_workload_and_trace_flag(self):
+        records = [self.record("a", 1, 0), self.record("a", 1, 1),
+                   self.record("b", 1, 0), self.record("a", 2, 0)]
+        untraced = ledger_stats.select_runs(records, "a", trace=0)
+        self.assertEqual([r["seed"] for r in untraced], [1, 2])
+        self.assertTrue(all(r["trace"] == 0 for r in untraced))
+        traced = ledger_stats.select_runs(records, "a", trace=1)
+        self.assertEqual([(r["seed"], r["trace"]) for r in traced], [(1, 1)])
+
+    def test_repeated_seed_is_an_error(self):
+        records = [self.record("a", 1, 0), self.record("a", 1, 0)]
+        with self.assertRaises(ValueError):
+            ledger_stats.select_runs(records, "a", trace=0)
+        # The same seed traced and untraced is the documented protocol.
+        records = [self.record("a", 1, 0), self.record("a", 1, 1)]
+        self.assertEqual(len(ledger_stats.select_runs(records, "a", trace=0)), 1)
 
 
 class BenchmarkFileTest(unittest.TestCase):
